@@ -17,7 +17,7 @@ use std::time::Instant;
 use usp_data::synthetic;
 use usp_index::partitioner::RoundRobinPartitioner;
 use usp_index::{PartitionIndex, SearchResult};
-use usp_linalg::Distance;
+use usp_linalg::{Distance, Matrix};
 use usp_serve::{QueryEngine, QueryOptions};
 
 fn best_ms(reps: usize, mut f: impl FnMut()) -> f64 {
@@ -103,9 +103,17 @@ fn main() {
     let (compacted, report) = index.compacted();
     let compact_ms = t0.elapsed().as_secs_f64() * 1e3;
     assert_eq!(report.live_points, n + inserted - deleted);
+    let live = report.live_points;
+    let compacted_data = Matrix::from_vec(
+        live,
+        compacted.dims(),
+        (0..live)
+            .flat_map(|id| compacted.row(id).to_vec())
+            .collect(),
+    );
     let fresh = PartitionIndex::build(
         RoundRobinPartitioner::new(bins),
-        compacted.data(),
+        &compacted_data,
         Distance::SquaredEuclidean,
     );
     let compacted_out: Vec<SearchResult> =

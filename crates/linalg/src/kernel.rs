@@ -202,10 +202,10 @@ pub fn scan_block(
 /// each tagged with a caller-side base, and read the winners back already resolved to
 /// `(segment base, offset within segment, distance)`.
 ///
-/// This is the shape both online scan sites share — `PartitionIndex::scan_bins` tags
-/// segments with their CSR row start, the sharded scatter task tags them with the
-/// slice index — so the subtle stream-position bookkeeping (segment starts recorded
-/// during the scan, winners mapped back by binary search) lives here once. Stream
+/// This is the shape of the index's candidate-stream consumer, which tags each
+/// segment with its run index — so the subtle stream-position bookkeeping (segment
+/// starts recorded during the scan, winners mapped back by binary search) lives here
+/// once. Stream
 /// positions are assigned in push order, so the selection's distance-tie order is the
 /// scan order, exactly as [`scan_block`] over the concatenated stream.
 ///

@@ -267,7 +267,7 @@ impl<P: Partitioner> QueryEngine<P> {
 
 impl<P: Partitioner> BatchEngine for QueryEngine<P> {
     fn dims(&self) -> usize {
-        self.index.data().cols()
+        self.index.dims()
     }
 
     fn serve_batch(&self, queries: &Matrix, opts: &QueryOptions) -> Vec<SearchResult> {

@@ -188,7 +188,7 @@ fn assert_cross_path(
         engine.serve_batch(queries, &opts),
         "QueryEngine diverged from the per-query searcher"
     );
-    for shards in [1usize, 3] {
+    for shards in [1usize, 3, idx.num_bins() + 2] {
         let sharded = ShardedEngine::with_shards(Arc::clone(idx), shards);
         assert_eq!(
             per_query,
@@ -200,7 +200,7 @@ fn assert_cross_path(
     // replicate them through its delta-aware per-shard slicing.
     let budgeted = QueryOptions::new(k, probes).with_rerank_budget(5);
     let reference = engine.serve_batch(queries, &budgeted);
-    for shards in [1usize, 3] {
+    for shards in [1usize, 3, idx.num_bins() + 2] {
         assert_eq!(
             reference,
             ShardedEngine::with_shards(Arc::clone(idx), shards).serve_batch(queries, &budgeted),

@@ -230,7 +230,12 @@ fn check_crash_cut(
     // The second recovery's clean base: the compacted point set with its stored
     // assignments (compaction is pinned bit-identical to this rebuild by the
     // mutation-equivalence suite).
-    let compacted_data = recovered.data().clone();
+    let n = recovered.bin_offsets()[recovered.num_bins()];
+    let compacted_data = Matrix::from_vec(
+        n,
+        recovered.dims(),
+        (0..n).flat_map(|id| recovered.row(id).to_vec()).collect(),
+    );
     let compacted_assign = recovered.assignments().to_vec();
     let rebuild = || {
         let idx = PartitionIndex::from_assignments(

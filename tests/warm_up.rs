@@ -60,8 +60,7 @@ fn warm_up_prespawns_the_pool_so_serving_never_does() {
             "serve_batch after warm_up must not spawn workers"
         );
 
-        // Same for the sharded engine (construction included — shard views build on
-        // the already-warm pool).
+        // Same for the sharded engine, construction included.
         let sharded = ShardedEngine::with_shards(Arc::clone(&index), 3);
         sharded.warm_up(); // idempotent: workers already exist
         assert_eq!(pool_worker_count(), 3);
